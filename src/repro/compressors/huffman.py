@@ -8,7 +8,8 @@ codecs and a registered standalone codec (``huffman``).  Three pieces:
   :data:`MAX_BITS` = 12 so the decoder can use flat 4096-entry tables.
 * :class:`HuffmanTable` -- canonical code assignment, vectorized encoding
   (table gather + :func:`repro.util.bitio.pack_bits`), and vectorized
-  decoding.
+  decoding; blocks of fewer than 2048 symbols take a serial walk whose
+  table has ``2**L`` entries, ``L`` the block's longest code.
 
 **Why the decoder is block-synchronized.**  Huffman decoding is a serial
 bit-chase, which is hopeless in pure Python at MB scale.  We instead record
@@ -177,22 +178,27 @@ def _package_merge(
     return lengths
 
 
+def _canonical_runs(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Coded symbols in canonical order (by length, then symbol index), the
+    number of ``bits``-bit windows each one's code prefixes, and ``bits``,
+    the longest code length.
+
+    In canonical order the codes are consecutive, so each code's windows
+    start where the previous code's end.
+    """
+    order = np.lexsort((np.arange(lengths.size), lengths))
+    order = order[lengths[order] > 0]
+    bits = int(lengths.max(initial=0))
+    return order, 1 << (bits - lengths[order]), bits
+
+
 def canonical_codes(lengths: np.ndarray) -> np.ndarray:
     """Assign canonical codes (increasing by length, then symbol index)."""
     lengths = np.asarray(lengths, dtype=np.int64)
     codes = np.zeros(lengths.size, dtype=np.uint64)
-    if lengths.max(initial=0) == 0:
-        return codes
-    order = np.lexsort((np.arange(lengths.size), lengths))
-    order = order[lengths[order] > 0]
-    code = 0
-    prev_len = int(lengths[order[0]])
-    for sym in order:
-        l = int(lengths[sym])
-        code <<= l - prev_len
-        codes[sym] = code
-        code += 1
-        prev_len = l
+    order, widths, _ = _canonical_runs(lengths)
+    # A code is its first window, in units of its own window count.
+    codes[order] = (np.cumsum(widths) - widths) // widths
     return codes
 
 
@@ -211,7 +217,7 @@ class HuffmanTable:
         self.codes = canonical_codes(self.lengths)
         self._dec_sym: np.ndarray | None = None
         self._dec_len: np.ndarray | None = None
-        self._dec_scalar: list[int] | None = None
+        self._dec_scalar: tuple[list[int], int] | None = None
 
     @classmethod
     def from_frequencies(cls, freqs: np.ndarray) -> "HuffmanTable":
@@ -316,34 +322,44 @@ class HuffmanTable:
             pos = np.minimum(pos + dec_len[w], max_pos)
         return np.concatenate([out[:-1].reshape(-1), out[-1, :last_count]])
 
+    def _scalar_table(self) -> tuple[list[int], int]:
+        """The scalar walk's decode table and its window width ``L``.
+
+        ``L`` is the longest code length; entry ``w`` is the packed
+        ``(symbol << 8) | length`` of the code prefixing the ``L``-bit
+        window ``w``.  Windows no code prefixes (an incomplete code) decode
+        as symbol 0 with length 1, as in the vector path's tables.
+        """
+        if self._dec_scalar is None:
+            order, widths, bits = _canonical_runs(self.lengths)
+            table = np.repeat((order << 8) | self.lengths[order], widths).tolist()
+            table += [1] * ((1 << bits) - len(table))
+            self._dec_scalar = (table, bits)
+        return self._dec_scalar
+
     def _decode_scalar(
         self, stream: bytes, n_symbols: int, start_bit: int
     ) -> np.ndarray:
         """Serial table-walk decoder for small streams."""
-        if self._dec_scalar is None:
-            dec_sym, dec_len = self._build_decode_tables()
-            # One packed Python-int list: (symbol << 8) | length.
-            self._dec_scalar = (
-                (dec_sym.astype(np.int64) << 8) | dec_len.astype(np.int64)
-            ).tolist()
-        table = self._dec_scalar
-        data = stream + b"\x00\x00\x00"
-        out = np.empty(n_symbols, dtype=np.int32)
+        table, bits = self._scalar_table()
+        # words[k]: the 24 bits starting at byte k (zero-padded), so a
+        # window is one list lookup; k == len(stream) is the all-zero word.
+        padded = np.zeros(len(stream) + 3, dtype=np.int64)
+        padded[: len(stream)] = np.frombuffer(stream, dtype=np.uint8)
+        words = ((padded[:-2] << 16) | (padded[1:-1] << 8) | padded[2:]).tolist()
+        out: list[int] = []
+        append = out.append
         pos = start_bit
-        shift_base = 24 - MAX_BITS
-        mask = (1 << MAX_BITS) - 1
+        shift_base = 24 - bits
+        mask = (1 << bits) - 1
         max_bit = 8 * len(stream)
-        for i in range(n_symbols):
-            k = pos >> 3
-            window = (
-                (data[k] << 16) | (data[k + 1] << 8) | data[k + 2]
-            ) >> (shift_base - (pos & 7))
-            entry = table[window & mask]
-            out[i] = entry >> 8
+        for _ in range(n_symbols):
+            entry = table[(words[pos >> 3] >> (shift_base - (pos & 7))) & mask]
+            append(entry >> 8)
             pos += entry & 0xFF
             if pos > max_bit:
                 raise CodecError("Huffman stream exhausted mid-symbol")
-        return out
+        return np.array(out, dtype=np.int32)
 
     # -- (de)serialization of the table itself ---------------------------
 

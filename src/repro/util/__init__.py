@@ -6,7 +6,8 @@ subsystem relies on:
 * :mod:`repro.util.bitio` -- vectorized bit packing/unpacking (NumPy).
 * :mod:`repro.util.buffers` -- zero-copy byte-view normalization.
 * :mod:`repro.util.varint` -- LEB128-style variable-length integers.
-* :mod:`repro.util.checksum` -- from-scratch CRC-32 and Adler-32.
+* :mod:`repro.util.checksum` -- CRC-32 and Adler-32 integrity checks via
+  stdlib :mod:`zlib` (the from-scratch versions are test oracles).
 * :mod:`repro.util.durable` -- atomic tmp+fsync+rename publication and
   transient-I/O retry.
 * :mod:`repro.util.entropy` -- Shannon entropy and repeatability metrics.

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compressors import CodecError, get_codec
+from repro.compressors import CodecError, get_codec, huffman
 from repro.compressors.huffman import (
     MAX_BITS,
     SYNC_SYMBOLS,
     HuffmanTable,
     canonical_codes,
+    choose_sync,
     code_lengths,
     decode_symbol_block,
     encode_symbol_block,
@@ -78,6 +79,19 @@ class TestCodeLengths:
         assert np.all((lengths > 0) == (freqs > 0)) or (freqs > 0).sum() == 1
 
 
+def _reference_canonical_codes(lengths):
+    """Canonical codes assigned one symbol at a time."""
+    codes = [0] * lengths.size
+    order = sorted(np.flatnonzero(lengths).tolist(), key=lambda s: (lengths[s], s))
+    code, prev_len = 0, 0
+    for sym in order:
+        code <<= int(lengths[sym]) - prev_len
+        codes[sym] = code
+        code += 1
+        prev_len = int(lengths[sym])
+    return codes
+
+
 class TestCanonicalCodes:
     def test_prefix_free(self):
         freqs = np.random.default_rng(2).integers(1, 100, 40)
@@ -94,6 +108,18 @@ class TestCanonicalCodes:
 
     def test_all_zero_lengths(self):
         assert canonical_codes(np.zeros(10, np.int64)).sum() == 0
+
+    @given(
+        st.lists(st.integers(0, MAX_BITS), min_size=1, max_size=300).map(
+            lambda ls: np.array(ls, dtype=np.int64)
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_serial_assignment(self, lengths):
+        # Any length vector, over-subscribed ones included.
+        codes = canonical_codes(lengths)
+        assert codes.dtype == np.uint64
+        assert codes.tolist() == _reference_canonical_codes(lengths)
 
 
 class TestHuffmanTableRoundtrip:
@@ -190,3 +216,166 @@ class TestHuffmanCodec:
     def test_property_roundtrip(self, data):
         codec = get_codec("huffman")
         assert codec.decompress(codec.compress(data)) == data
+
+
+# ---------------------------------------------------------------------------
+# Scalar decoder: equivalence with the vector path and typed failures.
+# ---------------------------------------------------------------------------
+
+
+def _reference_walk(table, stream, n_symbols, start_bit):
+    """The scalar decoder as it was: a walk over the 2**MAX_BITS tables."""
+    dec_sym, dec_len = table._build_decode_tables()
+    data = stream + b"\x00\x00\x00"
+    out = np.empty(n_symbols, dtype=np.int32)
+    pos = start_bit
+    max_bit = 8 * len(stream)
+    for i in range(n_symbols):
+        k = pos >> 3
+        window = ((data[k] << 16) | (data[k + 1] << 8) | data[k + 2]) >> (
+            24 - MAX_BITS - (pos & 7)
+        )
+        w = window & ((1 << MAX_BITS) - 1)
+        out[i] = dec_sym[w]
+        pos += int(dec_len[w])
+        if pos > max_bit:
+            raise CodecError("Huffman stream exhausted mid-symbol")
+    return out
+
+
+def _decode_via(path, table, stream, n_symbols, offsets, sync):
+    """``table.decode`` with the scalar or the vector path forced."""
+    limit = 1 << 62 if path == "scalar" else 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(huffman, "_SCALAR_DECODE_LIMIT", limit)
+        return table.decode(stream, n_symbols, offsets, sync)
+
+
+def _outcome(fn, *args):
+    """Decoded symbols, or the CodecError class; anything else propagates."""
+    try:
+        return fn(*args).tolist()
+    except CodecError:
+        return CodecError
+
+
+@st.composite
+def prefix_tables(draw):
+    """Code-length vectors: single-symbol, incomplete (Kraft < 1) and
+    complete codes, with every longest length from 1 to MAX_BITS."""
+    alphabet = draw(st.integers(1, 300))
+    kind = draw(st.sampled_from(["single", "incomplete", "complete"]))
+    lengths = np.zeros(alphabet, dtype=np.int64)
+    if kind == "single":
+        lengths[draw(st.integers(0, alphabet - 1))] = 1
+        return lengths
+    longest = draw(st.integers(1, MAX_BITS))
+    symbols = draw(st.permutations(range(alphabet)))
+    if kind == "complete":
+        if alphabet < 2:
+            lengths[0] = 1
+            return lengths
+        n = min(alphabet, 1 << longest)
+        freqs = np.zeros(alphabet, dtype=np.int64)
+        weights = draw(st.lists(st.integers(1, 1 << 20), min_size=n, max_size=n))
+        freqs[list(symbols[:n])] = weights
+        return code_lengths(freqs, max_bits=longest)
+    # Incomplete: greedily admit lengths while the Kraft sum stays below 1,
+    # always including one code of the longest length.
+    space = 1 << longest  # remaining code space in longest-length units
+    for i, sym in enumerate(symbols):
+        length = longest if i == 0 else draw(st.integers(1, longest))
+        cost = 1 << (longest - length)
+        if cost < space:
+            lengths[sym] = length
+            space -= cost
+    return lengths
+
+
+def _coded_symbols(draw, lengths, max_size):
+    present = np.flatnonzero(lengths).tolist()
+    return np.array(
+        draw(st.lists(st.sampled_from(present), min_size=1, max_size=max_size)),
+        dtype=np.int64,
+    )
+
+
+class TestScalarDecoder:
+    @given(data=st.data(), lengths=prefix_tables())
+    @settings(max_examples=150, deadline=None)
+    def test_scalar_and_vector_paths_agree(self, data, lengths):
+        table = HuffmanTable(lengths)
+        symbols = _coded_symbols(data.draw, lengths, 600)
+        sync = data.draw(st.sampled_from([1, 7, 64, choose_sync(symbols.size)]))
+        stream, offsets = table.encode(symbols, sync)
+        scalar = _decode_via("scalar", table, stream, symbols.size, offsets, sync)
+        vector = _decode_via("vector", table, stream, symbols.size, offsets, sync)
+        assert scalar.dtype == vector.dtype == np.int32
+        assert np.array_equal(scalar, symbols)
+        assert np.array_equal(vector, symbols)
+
+    @given(lengths=prefix_tables())
+    @settings(max_examples=100, deadline=None)
+    def test_table_matches_the_full_width_table(self, lengths):
+        table = HuffmanTable(lengths)
+        entries, bits = table._scalar_table()
+        assert bits == int(lengths.max(initial=0)) and len(entries) == 1 << bits
+        dec_sym, dec_len = table._build_decode_tables()
+        full = np.array(entries)[np.arange(1 << MAX_BITS) >> (MAX_BITS - bits)]
+        assert np.array_equal(full >> 8, dec_sym)
+        assert np.array_equal(full & 0xFF, dec_len)
+
+    @given(data=st.data(), lengths=prefix_tables())
+    @settings(max_examples=40, deadline=None)
+    def test_every_truncation_and_bit_flip(self, data, lengths):
+        table = HuffmanTable(lengths)
+        symbols = _coded_symbols(data.draw, lengths, 40)
+        stream, offsets = table.encode(symbols, SYNC_SYMBOLS)
+        n, start = symbols.size, int(offsets[0])
+        damaged = [stream[:cut] for cut in range(len(stream))]
+        for bit in range(8 * len(stream)):
+            flipped = bytearray(stream)
+            flipped[bit >> 3] ^= 0x80 >> (bit & 7)
+            damaged.append(bytes(flipped))
+        for bad in damaged:
+            got = _outcome(table.decode, bad, n, offsets, SYNC_SYMBOLS)
+            if got is CodecError:
+                continue
+            assert got == _reference_walk(table, bad, n, start).tolist()
+
+    @given(data=st.data(), lengths=prefix_tables())
+    @settings(max_examples=25, deadline=None)
+    def test_damaged_symbol_blocks_fail_typed(self, data, lengths):
+        alphabet = lengths.size
+        symbols = _coded_symbols(data.draw, lengths, 40)
+        blob = encode_symbol_block(symbols, alphabet)
+        damaged = [blob[:cut] for cut in range(len(blob))]
+        for bit in range(8 * len(blob)):
+            flipped = bytearray(blob)
+            flipped[bit >> 3] ^= 0x80 >> (bit & 7)
+            damaged.append(bytes(flipped))
+        for bad in damaged:
+            try:
+                got = _outcome(lambda b: decode_symbol_block(b)[0], bad)
+            except ValueError:
+                continue  # a corrupt code length above MAX_BITS
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(HuffmanTable, "_decode_scalar", _reference_walk)
+                want = _outcome(lambda b: decode_symbol_block(b)[0], bad)
+            assert got == want
+
+    def test_exhausted_stream_raises_codec_error(self):
+        freqs = np.zeros(256, np.int64)
+        freqs[[3, 4, 5]] = [4, 2, 1]
+        table = HuffmanTable.from_frequencies(freqs)
+        stream, offsets = table.encode(np.array([3, 4, 5] * 10))
+        with pytest.raises(CodecError, match="exhausted"):
+            table.decode(stream, 100, offsets)
+        with pytest.raises(CodecError):
+            table.decode(b"", 5, np.zeros(1, dtype=np.int64))
+
+    def test_empty_table_decodes_like_the_reference(self):
+        table = HuffmanTable(np.zeros(8, np.int64))
+        assert table.decode(b"\x00", 8, np.zeros(1, dtype=np.int64)).tolist() == [0] * 8
+        with pytest.raises(CodecError):
+            table.decode(b"\x00", 9, np.zeros(1, dtype=np.int64))
