@@ -74,7 +74,10 @@ _L9 = {"max_chain": 256, "lazy": True}
 _L6 = {"max_chain": 32, "lazy": False}
 
 #: Per-dataset metrics gated against the baseline; all bigger-is-better.
+#: ``tokenize_l6_speedup`` guards the default level, where every pyzlib
+#: call of the PRIMACY pipeline runs.
 _GATED_METRICS = (
+    "tokenize_l6_speedup",
     "lz_stage_speedup",
     "bwt_stage_speedup",
     "entropy_stage_speedup",

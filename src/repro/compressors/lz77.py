@@ -36,6 +36,7 @@ __all__ = [
     "ParseStats",
     "TokenStream",
     "collect_parse_stats",
+    "parse_stats_active",
     "reassemble",
     "tokenize",
 ]
@@ -135,6 +136,16 @@ def collect_parse_stats() -> Iterator[ParseStats]:
         yield stats
     finally:
         _active_stats = prev
+
+
+def parse_stats_active() -> bool:
+    """True inside a :func:`collect_parse_stats` block.
+
+    Only this module's :func:`tokenize` counts, so dispatchers that
+    could hand the parse to another kernel must keep it here while a
+    block is open.
+    """
+    return _active_stats is not None
 
 
 def _match_length(data: bytes, a: int, b: int, max_len: int) -> int:

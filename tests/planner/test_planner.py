@@ -166,6 +166,22 @@ class TestCostModel:
         scored, _, _ = self._probe_score(random_bytes, cand, 64 * 1024)
         assert scored.tau_mbps <= 4.0 * 1.01
 
+    def test_pyzlib_probe_fills_parse_counters(self, smooth_bytes):
+        # A 16 KiB probe hands pyzlib a 4,096-byte ID stream, large
+        # enough for the batch matcher, which keeps no counters.  The
+        # probe must still run the counted parse, or the cost model
+        # silently falls back to the static pyzlib rate.
+        from repro.compressors.lz77 import collect_parse_stats
+        from repro.core.primacy import PrimacyCompressor
+
+        cand = Candidate(codec="pyzlib", high_bytes=2)
+        with collect_parse_stats() as parse:
+            PrimacyCompressor(
+                cand.config(PrimacyConfig(chunk_bytes=1 << 16))
+            ).compress_chunk(smooth_bytes[: 16 * 1024])
+        assert parse.input_bytes >= 4096
+        assert parse.work > 0
+
     def test_pyzlib_time_prediction_tracks_parse_work(self, smooth_bytes):
         # The deterministic parse-op predictor must charge chunks whose
         # probes show heavy chain-walking / literal-heavy parses more
